@@ -34,10 +34,8 @@ def inject_crash_inconsistency(
         raise ValueError("cannot tear an empty file")
     offset = rng.randint(0, max(0, size - span))
     garbage = rng.random_bytes(min(span, size - offset))
-    inode = fs._inode_of(path)  # deliberate: bypass the operation surface
-    data = bytearray(inode.data)
-    data[offset : offset + len(garbage)] = garbage
-    inode.data = bytes(data)
+    # Deliberate: write beneath the operation surface, into the inode.
+    fs._inode_of(path).writable()[offset : offset + len(garbage)] = garbage
     return offset
 
 

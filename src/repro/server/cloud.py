@@ -13,7 +13,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.common.bytesutil import apply_write, truncate as truncate_bytes
+from repro.common.bytesutil import apply_runs, apply_write, truncate as truncate_bytes
 from repro.core.conflict import conflict_path
 from repro.common.version import VersionStamp
 from repro.cost.meter import CostMeter, NULL_METER
@@ -53,6 +53,25 @@ class ApplyResult:
 
 # A forward sink receives (origin_client_id, message) for fan-out.
 ForwardSink = Callable[[int, Message], None]
+
+# Messages whose new content follows from the base content alone.
+_INCREMENTS = (UploadWrite, UploadWriteBatch, UploadTruncate, UploadFull)
+
+
+def _apply_increment(base: bytes, message) -> bytes:
+    """The content ``message`` (one of ``_INCREMENTS``) makes of ``base``.
+
+    The new version costs one allocation at most (two for a batch whose
+    runs overlap); ``base``, which the snapshot window may share, is
+    never modified.
+    """
+    if isinstance(message, UploadWrite):
+        return apply_write(base, message.offset, message.data)
+    if isinstance(message, UploadWriteBatch):
+        return apply_runs(base, message.runs)
+    if isinstance(message, UploadTruncate):
+        return truncate_bytes(base, message.length)
+    return message.data
 
 
 class CloudServer:
@@ -300,29 +319,10 @@ class CloudServer:
     ) -> ApplyResult:
         if isinstance(message, MetaOp):
             return self._apply_meta(message, placed)
-        if isinstance(message, UploadWrite):
-            return self._apply_incremental(
-                message,
-                placed,
-                lambda base: apply_write(base, message.offset, message.data),
-            )
-        if isinstance(message, UploadWriteBatch):
-            def _apply_runs(base: bytes) -> bytes:
-                for offset, data in message.runs:
-                    base = apply_write(base, offset, data)
-                return base
-
-            return self._apply_incremental(message, placed, _apply_runs)
-        if isinstance(message, UploadTruncate):
-            return self._apply_incremental(
-                message, placed, lambda base: truncate_bytes(base, message.length)
-            )
+        if isinstance(message, _INCREMENTS):
+            return self._apply_incremental(message, placed)
         if isinstance(message, UploadDelta):
             return self._apply_delta_message(message, placed)
-        if isinstance(message, UploadFull):
-            return self._apply_incremental(
-                message, placed, lambda base: message.data
-            )
         raise TypeError(f"server cannot apply {type(message).__name__}")
 
     def _apply_meta(
@@ -357,7 +357,6 @@ class CloudServer:
         self,
         message,
         placed: Dict[str, Set[Optional[VersionStamp]]],
-        transform: Callable[[bytes], bytes],
     ) -> ApplyResult:
         path = message.path
         stored = self.store.lookup(path)
@@ -366,7 +365,7 @@ class CloudServer:
             return self._lone_conflict(message)
 
         base = stored.content if stored is not None else b""
-        new_content = transform(base)
+        new_content = _apply_increment(base, message)
         self.meter.charge_bytes("apply_delta", self._payload_size(message))
         self.store.put(path, new_content, message.new_version)
         self._note_upload(path)
@@ -443,21 +442,13 @@ class CloudServer:
         )
         if base is None:
             return None  # base aged out of the snapshot window
-        if isinstance(message, UploadWrite):
-            content = apply_write(base, message.offset, message.data)
-        elif isinstance(message, UploadWriteBatch):
-            content = base
-            for offset, data in message.runs:
-                content = apply_write(content, offset, data)
-        elif isinstance(message, UploadTruncate):
-            content = truncate_bytes(base, message.length)
+        if isinstance(message, _INCREMENTS):
+            content = _apply_increment(base, message)
         elif isinstance(message, UploadDelta):
             content_base = self._snapshot_or_none(message.content_base)
             if content_base is None:
                 return None
             content = apply_delta(content_base, message.delta, meter=self.meter)
-        elif isinstance(message, UploadFull):
-            content = message.data
         else:
             return None
         version = message.new_version or VersionStamp(0, 0)

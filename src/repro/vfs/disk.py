@@ -17,7 +17,7 @@ import posixpath
 from typing import List
 
 from repro.common.errors import NotFoundError
-from repro.vfs.filesystem import FileSystemAPI, Stat
+from repro.vfs.filesystem import FileSystemAPI, Stat, check_read_range
 
 
 class LocalDirFileSystem(FileSystemAPI):
@@ -67,6 +67,7 @@ class LocalDirFileSystem(FileSystemAPI):
             fh.write(data)
 
     def read(self, path: str, offset: int = 0, length: int | None = None) -> bytes:
+        check_read_range(offset, length)
         real = self._require_file(path)
         with open(real, "rb") as fh:
             fh.seek(offset)

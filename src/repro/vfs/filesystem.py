@@ -9,6 +9,10 @@ Semantics implemented (the subset the paper's update patterns exercise):
 - directories with mkdir/rmdir/listdir;
 - an optional capacity so ENOSPC behaviour is testable (Section III-A's
   escape hatch for preserving unlinked files).
+
+Content is written in place: a write costs the bytes it writes, not the
+file's size. Mutable buffers never escape; whole-file reads return
+immutable ``bytes``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import posixpath
 from dataclasses import dataclass
 from typing import Dict, Iterator, List
 
-from repro.common.bytesutil import apply_write, truncate as truncate_bytes
+from repro.common.bytesutil import Buffer, apply_write, truncate as truncate_bytes
 from repro.common.errors import NoSpaceError, NotFoundError
 
 
@@ -33,11 +37,31 @@ class Stat:
 
 
 class _Inode:
+    """One file's content and link count.
+
+    ``data`` holds exactly one representation at a time: frozen ``bytes``,
+    which callers may share, or a private ``bytearray``, which writes
+    mutate in place. Switching copies once, and the old representation
+    is dropped: the two are never kept side by side.
+    """
+
     __slots__ = ("data", "nlink")
 
-    def __init__(self, data: bytes = b""):
+    def __init__(self, data: Buffer = b""):
         self.data = data
         self.nlink = 1
+
+    def frozen(self) -> bytes:
+        """The content as immutable ``bytes``, safe to hand out."""
+        if isinstance(self.data, bytearray):
+            self.data = bytes(self.data)
+        return self.data
+
+    def writable(self) -> bytearray:
+        """The content as a private ``bytearray`` to mutate in place."""
+        if not isinstance(self.data, bytearray):
+            self.data = bytearray(self.data)
+        return self.data
 
 
 def _norm(path: str) -> str:
@@ -45,6 +69,14 @@ def _norm(path: str) -> str:
     if not path.startswith("/"):
         path = "/" + path
     return posixpath.normpath(path)
+
+
+def check_read_range(offset: int, length: int | None) -> None:
+    """Reject the negative read arguments every backend must refuse."""
+    if offset < 0:
+        raise ValueError("negative offset")
+    if length is not None and length < 0:
+        raise ValueError("negative length")
 
 
 class FileSystemAPI:
@@ -189,21 +221,35 @@ class MemoryFileSystem(FileSystemAPI):
 
     def write(self, path: str, offset: int, data: bytes) -> None:
         inode = self._inode_of(path)
-        new_data = apply_write(inode.data, offset, data)
-        self._charge(len(new_data) - len(inode.data))
-        inode.data = new_data
+        if offset < 0:
+            raise ValueError("negative offset")
+        size = len(inode.data)
+        self._charge(max(size, offset + len(data)) - size)
+        # An empty file keeps its first write frozen: a file written whole
+        # (a preload, a download) is then never thawed, and the write at
+        # offset 0 shares the caller's immutable bytes instead of copying.
+        inode.data = apply_write(inode.data if size == 0 else inode.writable(),
+                                 offset, data)
 
     def read(self, path: str, offset: int = 0, length: int | None = None) -> bytes:
+        check_read_range(offset, length)
         inode = self._inode_of(path)
-        if length is None:
-            return inode.data[offset:]
-        return inode.data[offset : offset + length]
+        size = len(inode.data)
+        end = size if length is None else min(size, offset + length)
+        if offset == 0 and end == size:
+            return inode.frozen()
+        if isinstance(inode.data, bytes):
+            return inode.data[offset:end]
+        return bytes(memoryview(inode.data)[offset:end])
 
     def truncate(self, path: str, length: int) -> None:
         inode = self._inode_of(path)
-        new_data = truncate_bytes(inode.data, length)
-        self._charge(len(new_data) - len(inode.data))
-        inode.data = new_data
+        if length < 0:
+            raise ValueError("negative length")
+        self._charge(length - len(inode.data))
+        # Shrinking or growing frozen content builds the result in one
+        # allocation; thawing first would copy the old content as well.
+        inode.data = truncate_bytes(inode.data, length)
 
     def rename(self, src: str, dst: str) -> None:
         src, dst = _norm(src), _norm(dst)
@@ -308,9 +354,7 @@ class MemoryFileSystem(FileSystemAPI):
         inode = self._inode_of(path)
         if not 0 <= byte_offset < len(inode.data):
             raise ValueError("corruption offset outside file")
-        data = bytearray(inode.data)
-        data[byte_offset] ^= flip_mask
-        inode.data = bytes(data)
+        inode.writable()[byte_offset] ^= flip_mask
 
     def walk_files(self) -> Iterator[str]:
         """All regular-file paths, sorted."""

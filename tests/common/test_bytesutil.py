@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.bytesutil import (
+    apply_runs,
     apply_write,
     block_count,
     block_range,
@@ -118,6 +119,66 @@ class TestTruncate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             truncate(b"abc", -1)
+
+
+_runs = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=300), st.binary(max_size=60)),
+    max_size=6,
+)
+
+
+class TestAliasing:
+    """A bytearray is mutated in place; bytes give new bytes, base untouched."""
+
+    @given(
+        base=st.binary(max_size=200),
+        offset=st.integers(min_value=0, max_value=300),
+        data=st.binary(max_size=100),
+    )
+    def test_apply_write_in_place_equals_pure(self, base, offset, data):
+        pure = apply_write(base, offset, data)
+        buffer = bytearray(base)
+        assert apply_write(buffer, offset, data) is buffer
+        assert type(pure) is bytes
+        assert buffer == pure
+
+    @given(base=st.binary(max_size=200), length=st.integers(0, 300))
+    def test_truncate_in_place_equals_pure(self, base, length):
+        pure = truncate(base, length)
+        buffer = bytearray(base)
+        assert truncate(buffer, length) is buffer
+        assert type(pure) is bytes
+        assert buffer == pure
+
+    def test_first_write_into_empty_bytes_is_not_copied(self):
+        data = b"payload"
+        assert apply_write(b"", 0, data) is data
+        copied = apply_write(b"", 0, bytearray(data))
+        assert type(copied) is bytes and copied == data
+
+
+class TestApplyRuns:
+    @given(base=st.binary(max_size=200), runs=_runs)
+    def test_equals_runs_applied_one_by_one(self, base, runs):
+        expected = base
+        for offset, data in runs:
+            expected = apply_write(expected, offset, data)
+        out = apply_runs(base, runs)
+        assert type(out) is bytes
+        assert out == expected
+
+    def test_sorted_disjoint_runs_with_gap_past_end(self):
+        assert apply_runs(b"abcdef", [(1, b"X"), (4, b"YZ"), (8, b"W")]) == (
+            b"aXcdYZ\x00\x00W"
+        )
+
+    def test_later_run_wins_where_runs_overlap(self):
+        assert apply_runs(b"abcdef", [(2, b"XXXX"), (1, b"YY")]) == b"aYYXXX"
+
+
+    def test_negative_offset_rejected(self):
+        with pytest.raises(ValueError):
+            apply_runs(b"abc", [(-1, b"x")])
 
 
 class TestMergeRanges:

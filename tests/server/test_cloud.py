@@ -222,6 +222,42 @@ class TestFirstWriteWins:
         assert len(server.file_content("/f")) == 100  # not truncated
 
 
+class TestVersionsStayImmutable:
+    """Each applied version is new ``bytes``; kept versions never change."""
+
+    def test_applies_never_touch_kept_versions(self):
+        server = _seeded(b"0123456789", version=V(1, 5))
+        kept = server.store.snapshot(V(1, 5))
+        for message in (
+            UploadWriteBatch(path="/f", runs=((1, b"A"), (4, b"BC"), (12, b"D")),
+                             base_version=V(1, 5), new_version=V(1, 6)),
+            UploadWrite(path="/f", offset=0, data=b"E", base_version=V(1, 6),
+                        new_version=V(1, 7)),
+            UploadTruncate(path="/f", length=3, base_version=V(1, 7),
+                           new_version=V(1, 8)),
+        ):
+            assert server.handle(message).ok
+        assert kept == b"0123456789"
+        assert server.store.snapshot(V(1, 6)) == b"0A23BC6789\x00\x00D"
+        assert server.file_content("/f") == b"EA2"
+        for version in (V(1, 5), V(1, 6), V(1, 7), V(1, 8)):
+            assert type(server.store.snapshot(version)) is bytes
+
+    def test_losing_batch_materialized_from_its_base(self):
+        server = _seeded(b"0" * 10, version=V(1, 5))
+        server.handle(
+            UploadWrite(path="/f", offset=0, data=b"W", base_version=V(1, 5), new_version=V(2, 1))
+        )
+        result = server.handle(
+            UploadWriteBatch(path="/f", runs=((2, b"xx"), (1, b"Y")),
+                             base_version=V(1, 5), new_version=V(3, 1))
+        )
+        assert result.status == "conflict"
+        copy = server.file_content(result.conflict_paths[0])
+        assert type(copy) is bytes
+        assert copy == b"0Yxx" + b"0" * 6
+
+
 class TestEnvelopeDedup:
     # At-least-once delivery, exactly-once effect: a retransmitted
     # envelope must be answered from the dedup cache, never re-applied

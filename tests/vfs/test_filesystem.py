@@ -218,3 +218,37 @@ class TestCorruptionHook:
         for name in ("/c", "/a", "/b"):
             fs.write_file(name, b"")
         assert list(fs.walk_files()) == ["/a", "/b", "/c"]
+
+
+@pytest.fixture(params=["memory", "localdir"])
+def any_fs(request, tmp_path):
+    from repro.vfs.disk import LocalDirFileSystem
+
+    if request.param == "memory":
+        return MemoryFileSystem()
+    return LocalDirFileSystem(str(tmp_path / "root"))
+
+
+class TestReadArguments:
+    """Negative offsets and lengths are refused alike by every backend.
+
+    Regression: ``MemoryFileSystem`` used to slice with them (returning the
+    file's tail, or nothing) while ``LocalDirFileSystem`` read past them or
+    failed with ``OSError``.
+    """
+
+    @pytest.mark.parametrize(
+        "offset,length", [(-2, None), (-2, 1), (1, -1), (0, -5)]
+    )
+    def test_negative_arguments_rejected(self, any_fs, offset, length):
+        any_fs.write_file("/a", b"hello")
+        with pytest.raises(ValueError):
+            any_fs.read("/a", offset, length)
+
+    def test_valid_ranges_agree(self, any_fs):
+        any_fs.write_file("/a", b"hello")
+        assert any_fs.read("/a", 1, 3) == b"ell"
+        assert any_fs.read("/a", 3) == b"lo"
+        assert any_fs.read("/a", 4, 10) == b"o"
+        assert any_fs.read("/a", 9) == b""
+        assert any_fs.read("/a", 0, 0) == b""
