@@ -18,7 +18,7 @@ SAVES = 20
 
 def _collect():
     trace = word_trace(scale=WORD_SCALE, saves=SAVES, seed=72)
-    result = run_pc("deltacfs", trace, WORD_SCALE, sync_interval=None)
+    result = run_pc("deltacfs", trace, WORD_SCALE)
     return result
 
 

@@ -18,8 +18,8 @@ SAVES = 30
 
 def _collect():
     trace = word_trace(scale=WORD_SCALE, saves=SAVES, seed=70)
-    deltacfs = run_pc("deltacfs", trace, WORD_SCALE, sync_interval=None)
-    dropbox = run_pc("dropbox", trace, WORD_SCALE, sync_interval=None)
+    deltacfs = run_pc("deltacfs", trace, WORD_SCALE)
+    dropbox = run_pc("dropbox", trace, WORD_SCALE)
     return deltacfs, dropbox
 
 

@@ -13,32 +13,15 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro import CloudServer, DeltaCFSClient, MemoryFileSystem, VirtualClock
-from repro.cost import CostMeter
 from repro.metrics.report import format_bytes
-from repro.net.transport import Channel
-
-
-def settle(clock, client, seconds=6):
-    """Advance virtual time so the Sync Queue's upload delay elapses."""
-    for _ in range(seconds):
-        clock.advance(1.0)
-        client.pump()
-    client.flush()
+from repro.sim import Simulation
 
 
 def main():
-    clock = VirtualClock()
-    client_meter, server_meter = CostMeter(), CostMeter()
-    server = CloudServer(meter=server_meter)
-    channel = Channel(client_meter=client_meter, server_meter=server_meter)
-    fs = DeltaCFSClient(
-        MemoryFileSystem(),
-        server=server,
-        channel=channel,
-        clock=clock,
-        meter=client_meter,
-    )
+    sim = Simulation()
+    fs, server = sim.client, sim.server
+    channel = sim.channels[fs.client_id]
+    client_meter, server_meter = sim.meters[fs.client_id], sim.server_meter
 
     # ------------------------------------------------------------------
     # 1. Initial upload: a 256 KB document
@@ -47,7 +30,7 @@ def main():
     fs.create("/report.doc")
     fs.write("/report.doc", 0, document)
     fs.close("/report.doc")
-    settle(clock, fs)
+    sim.settle()
     assert server.file_content("/report.doc") == document
     print(f"initial upload:        {format_bytes(channel.stats.up_bytes):>10}")
 
@@ -58,7 +41,7 @@ def main():
     mark = channel.stats.up_bytes
     fs.write("/report.doc", 1000, b"a tiny in-place edit")
     fs.close("/report.doc")
-    settle(clock, fs)
+    sim.settle()
     print(f"20B in-place edit:     {format_bytes(channel.stats.up_bytes - mark):>10}"
           "   (NFS-like RPC: just the write + versions)")
 
@@ -75,7 +58,7 @@ def main():
     fs.close("/report.doc.new")
     fs.rename("/report.doc.new", "/report.doc")    # 4 atomic replace
     fs.unlink("/report.doc~tmp0")                  # 5 drop old version
-    settle(clock, fs)
+    sim.settle()
     assert server.file_content("/report.doc") == new_version
     print(f"256KB rewrite, 11B new:{format_bytes(channel.stats.up_bytes - mark):>10}"
           f"   (delta encoding triggered {fs.stats.deltas_kept}x)")

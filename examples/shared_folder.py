@@ -16,11 +16,11 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro import CloudServer, DeltaCFSClient, MemoryFileSystem, VirtualClock
-from repro.net.transport import Channel
+from repro.sim import Simulation
 
 
 def settle(clock, *clients, seconds=6):
+    """Let only ``clients`` reach the cloud (the race needs one at a time)."""
     for _ in range(seconds):
         clock.advance(1.0)
         for client in clients:
@@ -30,14 +30,9 @@ def settle(clock, *clients, seconds=6):
 
 
 def main():
-    clock = VirtualClock()
-    server = CloudServer()
-    laptop = DeltaCFSClient(
-        MemoryFileSystem(), server=server, channel=Channel(), clock=clock, client_id=1
-    )
-    phone = DeltaCFSClient(
-        MemoryFileSystem(), server=server, channel=Channel(), clock=clock, client_id=2
-    )
+    sim = Simulation(clients=2)
+    clock, server = sim.clock, sim.server
+    laptop, phone = sim.clients
 
     # -- 1. forwarding -------------------------------------------------
     laptop.create("/notes.md")

@@ -6,18 +6,16 @@ substrate it depends on, plus the baselines it is evaluated against.
 
 Quickstart::
 
-    from repro import DeltaCFSClient, CloudServer, MemoryFileSystem, VirtualClock
+    from repro.sim import Simulation
 
-    clock = VirtualClock()
-    server = CloudServer()
-    fs = DeltaCFSClient(MemoryFileSystem(), server=server, clock=clock)
+    sim = Simulation()   # one cloud and one DeltaCFS device on virtual time
+    fs = sim.client
 
     fs.create("/hello.txt")
     fs.write("/hello.txt", 0, b"hello, cloud")
     fs.close("/hello.txt")
-    clock.advance(5)
-    fs.pump()          # upload-delay elapsed: the write ships as file RPC
-    assert server.file_content("/hello.txt") == b"hello, cloud"
+    sim.settle()         # upload-delay elapsed: the write ships as file RPC
+    assert sim.server.file_content("/hello.txt") == b"hello, cloud"
 
 See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.

@@ -446,7 +446,7 @@ def _replay_with_crash(args, trace, journal_kv, obs, faults, config=None) -> int
     what the journal bought them.
     """
     from repro.faults.crash import simulate_crash
-    from repro.harness.runner import _preload, build_system
+    from repro.harness.runner import build_system
     from repro.workloads.traces import apply_op
 
     n = args.crash_at
@@ -458,8 +458,7 @@ def _replay_with_crash(args, trace, journal_kv, obs, faults, config=None) -> int
         "deltacfs", config=config, obs=obs, faults=faults,
         fault_seed=args.fault_seed, journal_kv=journal_kv,
     )
-    _preload(system, trace)
-    system.reset_counters()  # match run_trace: measure past the preload
+    system.preload(trace)
     clock = system.clock
 
     def run_ops(ops) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.clock import VirtualClock
 from repro.common.rng import DeterministicRandom
 from repro.cost.meter import CostMeter
 from repro.harness.fleet import provision_clients
@@ -47,19 +46,15 @@ def run_capacity(
     (one subscription scoped to ``/u{i}``, not a transient whole-account
     one), same per-client seed stream, same config.
     """
-    clock = VirtualClock()
     server_meter = CostMeter()
-    server = CloudServer(meter=server_meter)
     rng = DeterministicRandom(seed)
-
     clients, channels = provision_clients(
         n_clients,
-        server=server,
-        clock=clock,
+        server=CloudServer(meter=server_meter),
         rng=rng,
         file_size=file_size,
-        server_meter_for=lambda client_id: server_meter,
     )
+    clock = clients[0].clock
 
     # seed uploads settle outside the measurement
     for _ in range(8):

@@ -253,10 +253,9 @@ def fig1_motivation(fast: bool = False) -> List[RunResult]:
                 solution, profile=PC_PROFILE, network=PC_NETWORK,
                 **_scaled_kwargs(scale),
             )
-            from repro.harness.runner import _preload
             from repro.workloads.traces import replay
 
-            _preload(system, trace)
+            system.preload(trace)
 
             # The paper's Figure 1 subplots are CPU-over-time series whose
             # spikes line up with the saves; sample per-window tick deltas.
@@ -324,10 +323,9 @@ def fig2_dropsync_mobile(fast: bool = False) -> Fig2Result:
         network=MOBILE_NETWORK,
         **_scaled_kwargs(WECHAT_SCALE),
     )
-    from repro.harness.runner import _preload
     from repro.workloads.traces import replay
 
-    _preload(system, trace)
+    system.preload(trace)
     timeline: List[Tuple[float, int]] = []
     last_sample = [0.0]
 

@@ -45,18 +45,17 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.common.clock import VirtualClock
 from repro.common.config import DeltaCFSConfig
 from repro.common.rng import DeterministicRandom
 from repro.core.client import DeltaCFSClient
-from repro.cost.meter import CostMeter
 from repro.net.transport import Channel, NetworkStats
 from repro.obs import NULL_OBS, Observability
 from repro.obs.health import HealthReport, health_from_windows
 from repro.obs.sketch import ShardWindows
 from repro.server.shard import ShardRouter
+from repro.sim import Simulation
 
 __all__ = [
     "FleetSpec",
@@ -72,56 +71,39 @@ def provision_clients(
     n_clients: int,
     *,
     server,
-    clock: VirtualClock,
     rng: DeterministicRandom,
     file_size: int,
-    server_meter_for: Callable[[int], CostMeter],
-    config_factory: Optional[Callable[[int], DeltaCFSConfig]] = None,
     obs: Observability = NULL_OBS,
 ) -> Tuple[List[DeltaCFSClient], List[Channel]]:
-    """The one client-construction path shared by capacity and fleet runs.
+    """The one client-provisioning path shared by capacity and fleet runs.
 
-    Client ``i`` (1-based) gets its own ``MemoryFileSystem``, a channel
-    charging ``server_meter_for(i)`` for server-side receive work, a
-    share subscription scoped to its private ``/u{i}`` folder (Section
-    III-D selective sharing — on a sharded server this pins the
-    registration to one shard), and a seeded ``/u{i}/data.bin`` of
-    ``file_size`` bytes drawn from ``rng.fork(str(i))``.
+    Adds ``n_clients`` clients to a :class:`~repro.sim.Simulation` around
+    ``server`` (a ``CloudServer`` or ``ShardRouter``). Client ``i``
+    (1-based) syncs only its private ``/u{i}`` folder (Section III-D
+    selective sharing; on a sharded server this pins it to one shard),
+    runs without checksums or client-side CPU metering, and holds a
+    ``/u{i}/data.bin`` of ``file_size`` bytes from ``rng.fork(str(i))``.
+    The clients share the simulation's clock.
 
     The seed uploads are *enqueued*, not yet shipped: the caller settles
     them (and resets meters) before its measurement window, so different
     harnesses can settle at whatever cadence they need without this
     function perturbing their clocks.
     """
-    from repro.vfs.filesystem import MemoryFileSystem
-
-    clients: List[DeltaCFSClient] = []
-    channels: List[Channel] = []
+    sim = Simulation.around(server, obs=obs)
     for client_id in range(1, n_clients + 1):
-        channel = Channel(server_meter=server_meter_for(client_id))
-        config = (
-            config_factory(client_id)
-            if config_factory is not None
-            else DeltaCFSConfig(enable_checksums=False)
-        )
-        client = DeltaCFSClient(
-            MemoryFileSystem(),
-            server=server,
-            channel=channel,
-            clock=clock,
+        client = sim.add_client(
             client_id=client_id,
-            config=config,
+            config=DeltaCFSConfig(enable_checksums=False),
+            profile=None,
             shares=(f"/u{client_id}",),
-            obs=obs,
         )
         path = f"/u{client_id}/data.bin"
         client.mkdir(f"/u{client_id}")
         client.create(path)
         client.write(path, 0, rng.fork(str(client_id)).random_bytes(file_size))
         client.close(path)
-        clients.append(client)
-        channels.append(channel)
-    return clients, channels
+    return sim.clients, list(sim.channels.values())
 
 
 @dataclass
@@ -253,25 +235,16 @@ _WRITE, _PUMP = 0, 1
 def run_fleet(spec: FleetSpec, *, obs: Observability = NULL_OBS) -> FleetResult:
     """Run one fleet simulation in virtual time; fully deterministic."""
     spec.validate()
-    clock = VirtualClock()
-    obs.bind_clock(clock)
     rng = DeterministicRandom(spec.seed)
     router = ShardRouter(spec.n_shards, vnodes=spec.vnodes, obs=obs)
-
-    def meter_for(client_id: int) -> CostMeter:
-        return router.shard_meters[
-            router.shard_index_for_path(f"/u{client_id}/data.bin")
-        ]
-
     clients, channels = provision_clients(
         spec.n_clients,
         server=router,
-        clock=clock,
         rng=rng,
         file_size=spec.file_size,
-        server_meter_for=meter_for,
         obs=obs,
     )
+    clock = clients[0].clock
     home_shard = [
         router.shard_index_for_path(f"/u{cid}/data.bin")
         for cid in range(1, spec.n_clients + 1)

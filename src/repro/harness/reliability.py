@@ -23,19 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.clock import VirtualClock
 from repro.common.errors import CorruptionDetected
 from repro.common.rng import DeterministicRandom
-from repro.core.client import DeltaCFSClient
 from repro.faults.corruption import flip_bit
 from repro.faults.crash import inject_crash_inconsistency, simulate_crash
 from repro.faults.network import NetworkFaults
 from repro.harness.runner import build_system
 from repro.kvstore.kv import KVStore, LogStructuredKV, MemoryKV
 from repro.net.reliable import RetryPolicy
-from repro.net.transport import Channel
 from repro.obs import NULL_OBS, Observability
-from repro.server.cloud import CloudServer
+from repro.sim import Simulation
 from repro.vfs.filesystem import MemoryFileSystem
 from repro.workloads.traces import replay
 from repro.workloads.word import word_trace
@@ -255,23 +252,14 @@ def crash_recovery_roundtrip(
     the real WAL restart path.
     """
     factory = kv_factory if kv_factory is not None else (lambda _name: MemoryKV())
-    clock = VirtualClock()
-    obs.bind_clock(clock)
-    server = CloudServer(obs=obs)
+    sim = Simulation.around(obs=obs)
+    clock, server = sim.clock, sim.server
     fs = MemoryFileSystem()
     journal_kv = factory("journal")
     checksum_kv = factory("checksums")
     rng = DeterministicRandom(seed).fork("crash-roundtrip")
 
-    client = DeltaCFSClient(
-        fs,
-        server=server,
-        channel=Channel(),
-        clock=clock,
-        checksum_kv=checksum_kv,
-        journal_kv=journal_kv,
-        obs=obs,
-    )
+    client = sim.add_client(fs, checksum_kv=checksum_kv, journal_kv=journal_kv)
     client.create(_FILE)
     client.write(_FILE, 0, _seed_content())
     client.close(_FILE)
@@ -297,17 +285,13 @@ def crash_recovery_roundtrip(
 
     # Restart: a fresh client over the surviving fs + durable stores,
     # with a fresh channel so its stats isolate the recovery traffic.
-    channel = Channel()
-    client2 = DeltaCFSClient(
+    client2 = sim.add_client(
         fs,
-        server=server,
-        channel=channel,
-        clock=clock,
         client_id=client.client_id,
         checksum_kv=checksum_kv,
         journal_kv=journal_kv,
-        obs=obs,
     )
+    channel = sim.channels[client2.client_id]
     report = client2.recover()
     for _ in range(6):
         clock.advance(1.0)
@@ -358,16 +342,7 @@ def loss_convergence_test(
     system = build_system(
         "deltacfs", faults=faults, retry=RetryPolicy(), fault_seed=seed
     )
-    for path, content in sorted(trace.preload.items()):
-        system.fs.create(path)
-        if content:
-            system.fs.write(path, 0, content)
-        system.fs.close(path)
-    for _ in range(12):
-        system.clock.advance(1.0)
-        system.pump(system.clock.now())
-    system.flush()  # settles the transport: preload fully acked
-    system.reset_counters()
+    system.preload(trace)  # its flush settles the transport: preload fully acked
 
     replay(trace, system.fs, system.clock, pump=system.pump)
     for _ in range(10):
@@ -392,7 +367,7 @@ def loss_convergence_test(
     conflict_copies = sum(
         1 for p in system.server.store.paths() if "conflicted copy" in p
     )
-    transport = system.transport
+    transport = client.transport
     return LossOutcome(
         loss_rate=loss_rate,
         converged=not mismatched and conflict_copies == 0,

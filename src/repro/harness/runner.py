@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -12,15 +13,15 @@ from repro.baselines.nfs import NFSClient
 from repro.baselines.seafile import SeafileClient
 from repro.common.clock import VirtualClock
 from repro.common.config import DeltaCFSConfig
-from repro.core.client import DeltaCFSClient
 from repro.cost.meter import CostMeter
 from repro.cost.profile import CostProfile, PC_PROFILE
 from repro.faults.network import NO_FAULTS, NetworkFaults
 from repro.metrics.collector import RunResult
-from repro.net.reliable import ReliableTransport, RetryPolicy
-from repro.net.transport import Channel, LossyChannel, NetworkModel, NetworkStats, PC_NETWORK
+from repro.net.reliable import RetryPolicy
+from repro.net.transport import Channel, NetworkModel, NetworkStats, PC_NETWORK
 from repro.obs import NULL_OBS, Observability
 from repro.server.cloud import CloudServer
+from repro.sim import Simulation, cloud_profile
 from repro.vfs.filesystem import FileSystemAPI, MemoryFileSystem
 from repro.workloads.traces import Trace, replay
 
@@ -41,13 +42,37 @@ class SystemUnderTest:
     pump: Callable[[float], object]
     flush: Callable[[], object]
     client: object  # the underlying client, for system-specific inspection
-    transport: Optional[ReliableTransport] = None  # set in reliable mode
 
     def reset_counters(self) -> None:
         """Zero meters and traffic counters (after preload)."""
         self.client_meter.reset()
         self.server_meter.reset()
         self.channel.stats = NetworkStats()
+
+    def preload(self, trace: Trace) -> None:
+        """Install the trace's preloaded files and let them sync, then zero
+        the counters, so the seed content stays outside the measurement."""
+        if not trace.preload:
+            return
+        for path, content in sorted(trace.preload.items()):
+            self.fs.create(path)
+            if content:
+                self.fs.write(path, 0, content)
+            self.fs.close(path)
+        # give time-based engines room to upload the seed content
+        for _ in range(12):
+            self.clock.advance(1.0)
+            self.pump(self.clock.now())
+        self.flush()
+        self.reset_counters()
+
+
+# Baseline clients sync on a timer. Dropbox syncs eagerly on inotify
+# events — it repeatedly re-scans files that are *still being written*
+# ("triggered by file modification events which occurs much more frequently
+# than our relation triggered delta encoding", Section IV-B). Seafile
+# commits on a longer quiescence window.
+_SYNC_INTERVAL = {"dropbox": 0.45, "seafile": 2.0, "fullsync": 1.0}
 
 
 def build_system(
@@ -56,9 +81,6 @@ def build_system(
     profile: CostProfile = PC_PROFILE,
     network: NetworkModel = PC_NETWORK,
     config: Optional[DeltaCFSConfig] = None,
-    clock: Optional[VirtualClock] = None,
-    sync_interval: Optional[float] = None,
-    wait_for_idle_link: Optional[bool] = None,
     dropbox_dedup_size: int = 4 * 1024 * 1024,
     seafile_chunk_size: int = 1024 * 1024,
     obs: Observability = NULL_OBS,
@@ -69,15 +91,16 @@ def build_system(
 ) -> SystemUnderTest:
     """Construct a sync system by name.
 
-    ``journal_kv`` (DeltaCFS only) attaches a crash-recovery journal backed
-    by the given KV store, enabling ``client.recover()`` after a crash.
+    The clock, cloud, meters, channel (and the DeltaCFS client itself)
+    come from :class:`repro.sim.Simulation`. ``journal_kv`` (DeltaCFS
+    only) attaches a crash-recovery journal backed by the given KV store,
+    enabling ``client.recover()`` after a crash.
 
     ``profile`` selects PC vs mobile CPU costs; ``network`` the link model
-    (slow WAN for mobile). ``wait_for_idle_link`` defaults to True for the
-    fullsync (Dropsync) client, False otherwise. ``obs`` (default: the
-    no-op ``NULL_OBS``) is wired into the channel, the server, and — for
-    DeltaCFS — the client engine; its trace clock is bound to the run's
-    virtual clock.
+    (slow WAN for mobile). Only the fullsync (Dropsync) client waits for
+    an idle link before syncing. ``obs`` (default: the no-op ``NULL_OBS``)
+    is wired into the channel, the server, and — for DeltaCFS — the client
+    engine; its trace clock is bound to the run's virtual clock.
 
     A non-lossless ``faults`` plan (or an explicit ``retry`` policy) builds
     the system in *reliable mode*: uploads travel over a
@@ -94,8 +117,7 @@ def build_system(
     """
     if name not in SOLUTIONS:
         raise ValueError(f"unknown solution {name!r}; pick one of {SOLUTIONS}")
-    reliable = not faults.lossless or retry is not None
-    if reliable and name != "deltacfs":
+    if (not faults.lossless or retry is not None) and name != "deltacfs":
         raise ValueError(
             f"reliable mode (fault injection) is only wired for 'deltacfs', "
             f"not {name!r}"
@@ -105,154 +127,57 @@ def build_system(
             f"the crash-recovery journal is only wired for 'deltacfs', "
             f"not {name!r}"
         )
-    clock = clock if clock is not None else VirtualClock()
-    obs.bind_clock(clock)
-    client_meter = CostMeter(profile)
-    server_meter = CostMeter(profile if name == "fullsync" else PC_PROFILE)
-    server = CloudServer(meter=server_meter, obs=obs)
-    if reliable:
-        channel: Channel = LossyChannel(
-            model=network,
+    sim = Simulation.around(obs=obs, profile=cloud_profile(name, profile))
+    if name == "deltacfs":
+        client = fs = sim.add_client(
+            config=config,
+            profile=profile,
+            network=network,
+            journal_kv=journal_kv,
             faults=faults,
-            seed=fault_seed,
-            client_meter=client_meter,
-            server_meter=server_meter,
-            obs=obs,
+            retry=retry,
+            fault_seed=fault_seed,
+        )
+        client_meter = sim.meters[client.client_id]
+        channel = sim.channels[client.client_id]
+    elif name == "nfs":
+        # NFS traffic is not TLS-wrapped.
+        client_meter, channel = sim.connect(
+            profile, dataclasses.replace(network, encrypted=False)
+        )
+        client = fs = NFSClient(
+            MemoryFileSystem(), server=sim.server, channel=channel, meter=client_meter
         )
     else:
-        channel = Channel(
-            model=network,
-            client_meter=client_meter,
-            server_meter=server_meter,
-            obs=obs,
-        )
-
-    if name == "deltacfs":
-        transport: Optional[ReliableTransport] = None
-        if reliable:
-            transport = ReliableTransport(
-                channel,
-                server,
-                policy=retry,
-                seed=fault_seed,
-                obs=obs,
-            )
-        client = DeltaCFSClient(
-            MemoryFileSystem(),
-            server=server,
-            channel=channel,
-            clock=clock,
-            meter=client_meter,
-            config=config,
-            obs=obs,
-            transport=transport,
-            journal_kv=journal_kv,
-        )
-        if transport is not None:
-            transport.client_id = client.client_id
-
-        def flush() -> object:
-            shipped = client.flush()
-            if transport is not None:
-                # Drive retransmission until every envelope is acked —
-                # flush alone cannot advance virtual time.
-                transport.settle(clock)
-            return shipped
-
-        return SystemUnderTest(
-            name=name,
-            fs=client,
-            clock=clock,
-            channel=channel,
-            client_meter=client_meter,
-            server_meter=server_meter,
-            server=server,
-            pump=client.pump,
-            flush=flush,
-            client=client,
-            transport=transport,
-        )
-
-    if name == "nfs":
-        # NFS traffic is not TLS-wrapped.
-        channel = Channel(
-            model=NetworkModel(
-                bandwidth_up=network.bandwidth_up,
-                bandwidth_down=network.bandwidth_down,
-                latency=network.latency,
-                encrypted=False,
-            ),
-            client_meter=client_meter,
-            server_meter=server_meter,
-            obs=obs,
-        )
-        client = NFSClient(
-            MemoryFileSystem(),
-            server=server,
+        client_meter, channel = sim.connect(profile, network)
+        link = dict(
+            server=sim.server,
             channel=channel,
             meter=client_meter,
+            sync_interval=_SYNC_INTERVAL[name],
+            wait_for_idle_link=name == "fullsync",
         )
-        return SystemUnderTest(
-            name=name,
-            fs=client,
-            clock=clock,
-            channel=channel,
-            client_meter=client_meter,
-            server_meter=server_meter,
-            server=server,
-            pump=client.pump,
-            flush=lambda: client.flush(clock.now()),
-            client=client,
-        )
-
-    idle_gate = wait_for_idle_link if wait_for_idle_link is not None else (
-        name == "fullsync"
-    )
-    if sync_interval is None:
-        # Dropbox syncs eagerly on inotify events — it repeatedly re-scans
-        # files that are *still being written* ("triggered by file
-        # modification events which occurs much more frequently than our
-        # relation triggered delta encoding", Section IV-B). Seafile
-        # commits on a longer quiescence window.
-        sync_interval = {"dropbox": 0.45, "seafile": 2.0}.get(name, 1.0)
-    if name == "dropbox":
-        client = DropboxClient(
-            server=server,
-            channel=channel,
-            meter=client_meter,
-            sync_interval=sync_interval,
-            wait_for_idle_link=idle_gate,
-            dedup_size=dropbox_dedup_size,
-        )
-    elif name == "seafile":
-        client = SeafileClient(
-            server=server,
-            channel=channel,
-            meter=client_meter,
-            sync_interval=sync_interval,
-            wait_for_idle_link=idle_gate,
-            chunk_size=seafile_chunk_size,
-        )
-    else:  # fullsync
-        client = FullUploadClient(
-            server=server,
-            channel=channel,
-            meter=client_meter,
-            sync_interval=sync_interval,
-            wait_for_idle_link=idle_gate,
+        if name == "dropbox":
+            client = DropboxClient(**link, dedup_size=dropbox_dedup_size)
+        elif name == "seafile":
+            client = SeafileClient(**link, chunk_size=seafile_chunk_size)
+        else:  # fullsync
             # Dropsync rides Dropbox's transport, which compresses uploads.
-            compression_ratio=0.8,
-        )
+            client = FullUploadClient(**link, compression_ratio=0.8)
+        fs = client.fs
     return SystemUnderTest(
         name=name,
-        fs=client.fs,
-        clock=clock,
+        fs=fs,
+        clock=sim.clock,
         channel=channel,
         client_meter=client_meter,
-        server_meter=server_meter,
-        server=server,
+        server_meter=sim.server_meter,
+        server=sim.server,
         pump=client.pump,
-        flush=lambda: client.flush(clock.now()),
+        flush=(
+            (lambda: sim.flush(client)) if name == "deltacfs"
+            else (lambda: client.flush(sim.clock.now()))
+        ),
         client=client,
     )
 
@@ -272,23 +197,6 @@ def _counted_pump(system: SystemUnderTest, obs: Observability):
     return pump
 
 
-def _preload(system: SystemUnderTest, trace: Trace) -> None:
-    """Install preloaded files and let them sync outside the measurement."""
-    if not trace.preload:
-        return
-    for path, content in sorted(trace.preload.items()):
-        system.fs.create(path)
-        if content:
-            system.fs.write(path, 0, content)
-        system.fs.close(path)
-    # give time-based engines room to upload the seed content
-    for _ in range(12):
-        system.clock.advance(1.0)
-        system.pump(system.clock.now())
-    system.flush()
-    system.reset_counters()
-
-
 def run_trace(
     name: str,
     trace: Trace,
@@ -296,8 +204,6 @@ def run_trace(
     profile: CostProfile = PC_PROFILE,
     network: NetworkModel = PC_NETWORK,
     config: Optional[DeltaCFSConfig] = None,
-    sync_interval: Optional[float] = None,
-    pump_interval: float = 1.0,
     dropbox_dedup_size: int = 4 * 1024 * 1024,
     seafile_chunk_size: int = 1024 * 1024,
     obs: Observability = NULL_OBS,
@@ -318,7 +224,6 @@ def run_trace(
         profile=profile,
         network=network,
         config=config,
-        sync_interval=sync_interval,
         dropbox_dedup_size=dropbox_dedup_size,
         seafile_chunk_size=seafile_chunk_size,
         obs=obs,
@@ -329,7 +234,7 @@ def run_trace(
     )
     with obs.span("run", solution=name, trace=trace.name):
         with obs.span("run.preload"):
-            _preload(system, trace)
+            system.preload(trace)
         if obs.enabled:
             # Mirror reset_counters(): metrics cover the measured window
             # only, so channel.* totals agree with NetworkStats. The trace
@@ -341,7 +246,6 @@ def run_trace(
                 system.fs,
                 system.clock,
                 pump=_counted_pump(system, obs),
-                pump_interval=pump_interval,
             )
         # settle: let upload delays elapse under normal pumping, then drain
         with obs.span("run.settle"):
@@ -362,8 +266,8 @@ def run_trace(
             "nodes_uploaded": stats.nodes_uploaded,
             "conflicts": stats.conflicts,
         }
-        if system.transport is not None:
-            tstats = system.transport.stats
+        if system.client.transport is not None:
+            tstats = system.client.transport.stats
             extra.update(
                 {
                     "transport_sent": tstats.sent,

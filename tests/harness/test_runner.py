@@ -39,10 +39,9 @@ class TestRunTrace:
         # every system must leave the server with the complete file
         # (verified through a fresh run to inspect the server)
         system = build_system(name)
-        from repro.harness.runner import _preload
         from repro.workloads.traces import replay
 
-        _preload(system, trace)
+        system.preload(trace)
         replay(trace, system.fs, system.clock, pump=system.pump)
         system.flush()
         assert system.server.store.get("/append.dat").content is not None
@@ -67,10 +66,9 @@ class TestRunTrace:
         contents = {}
         for name in SOLUTIONS:
             system = build_system(name)
-            from repro.harness.runner import _preload
             from repro.workloads.traces import replay
 
-            _preload(system, trace)
+            system.preload(trace)
             replay(trace, system.fs, system.clock, pump=system.pump)
             for _ in range(10):
                 system.clock.advance(1.0)
