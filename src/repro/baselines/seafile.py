@@ -52,39 +52,42 @@ class SeafileClient(WatcherSyncClient):
         self.chunk_size = chunk_size
         # Chunk fingerprints the cloud is known to hold.
         self._server_chunks: Set[bytes] = set()
-        # Local repository: last committed content, its gear-hash array,
-        # and its chunk manifest keyed by (offset, length).
+        # Local repository: last committed content, its boundary-candidate
+        # positions, and its chunk manifest keyed by (offset, length).
         self._repo: Dict[str, Tuple[bytes, np.ndarray, Dict[Tuple[int, int], bytes]]] = {}
 
     def _sync_file(self, path: str, now: float) -> None:
         content = self.fs.read_file(path)
         self.meter.charge_bytes("scan_read", len(content))
         # Re-chunk the whole file (the modeled client scans everything; the
-        # simulator reuses cached hashes where content is unchanged).
+        # simulator rehashes only around the bytes that changed).
         self.meter.charge_bytes("cdc_chunking", len(content))
         bits = _mask_for_average(self.chunk_size).bit_length()
         prev = self._repo.get(path)
         if prev is not None:
-            hashes = gear_hashes_incremental(prev[0], content, prev[1], bits)
+            candidates = gear_hashes_incremental(prev[0], content, prev[1], bits)
         else:
-            hashes = _gear_hashes(content, bits=bits)
-        boundaries = cdc_boundaries(content, self.chunk_size, hashes=hashes)
+            candidates = np.flatnonzero(_gear_hashes(content, bits=bits) == 0)
+        boundaries = cdc_boundaries(content, self.chunk_size, candidates=candidates)
 
-        prev_content = prev[0] if prev is not None else b""
         prev_manifest = prev[2] if prev is not None else {}
+        # Chunks are compared through uint8 views and hashed through
+        # memoryview slices, so only uploaded bodies are copied out.
+        body_view = memoryview(content)
+        cur = np.frombuffer(content, dtype=np.uint8)
+        old = np.frombuffer(prev[0], dtype=np.uint8) if prev is not None else cur[:0]
         manifest: Dict[Tuple[int, int], bytes] = {}
         fingerprints: List[bytes] = []
         start = 0
         for end in boundaries:
-            body = content[start:end]
             key = (start, end - start)
             cached = prev_manifest.get(key)
-            if cached is not None and prev_content[start:end] == body:
+            if cached is not None and np.array_equal(old[start:end], cur[start:end]):
                 # unchanged chunk: fingerprint reused, only a comparison paid
-                self.meter.charge_bytes("bitwise_compare", len(body))
+                self.meter.charge_bytes("bitwise_compare", end - start)
                 fingerprint = cached
             else:
-                fingerprint = dedup_hash(body, self.meter)
+                fingerprint = dedup_hash(body_view[start:end], self.meter)
             manifest[key] = fingerprint
             fingerprints.append(fingerprint)
             start = end
@@ -108,7 +111,7 @@ class SeafileClient(WatcherSyncClient):
                 self.server.meter.charge_bytes(
                     "apply_delta", sum(len(b) for b in bodies)
                 )
-        self._repo[path] = (content, hashes, manifest)
+        self._repo[path] = (content, candidates, manifest)
         if self.server is not None:
             self.server.store.put(path, content, None)
         self.channel.download(Ack(path=path), now)

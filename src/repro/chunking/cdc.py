@@ -7,12 +7,21 @@ boundary after it. The tradeoff the paper highlights (Section II-A): to keep
 the chunk-index small, Seafile uses a large average chunk (1 MB), so even a
 1-byte edit re-uploads ~1 MB.
 
-The gear hash ``h_t = (h_{t-1} << 1) + gear[b_t] (mod 2^64)`` has finite
-memory — after 64 steps the oldest byte's contribution has shifted out — so
-the boundary predicate at each position is a pure function of the preceding
-64 bytes. We exploit that to vectorize boundary detection with numpy
-(``h_t = sum_{i<64} gear[b_{t-i}] << i``), which matches the sequential
-reference implementation bit-for-bit.
+The gear hash ``h_t = (h_{t-1} << 1) + gear[b_t] (mod 2^64)`` unrolls to
+``h_t = sum_{i<64} gear[b_{t-i}] << i``: bit ``j`` depends only on the last
+``j + 1`` bytes, so a boundary predicate on the low ``bits`` bits is a pure
+function of the preceding ``bits`` bytes. :func:`_gear_hashes` evaluates
+the sum for every position at once by log-doubling (the sum over a window
+of ``2w`` bytes is the sum over ``w`` plus the same sum ``w`` bytes back,
+shifted ``w`` bits), ``ceil(log2(bits))`` whole-array passes. For masks of
+at most 32 bits it accumulates in ``uint32``: arithmetic mod 2^32 keeps the
+low ``bits`` bits exact. The result matches the sequential
+:class:`GearHasher` on those bits.
+
+Because a boundary candidate depends only on the 64 bytes before it,
+:func:`gear_hashes_incremental` rechunks an edited file by rehashing only
+the windows around the bytes that changed and keeping every other
+candidate of the previous version.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ def _gear_table(seed: int = 0x9E3779B97F4A7C15) -> np.ndarray:
 
 
 GEAR_TABLE = _gear_table()
+_GEAR_TABLE32 = GEAR_TABLE.astype(np.uint32)  # low 32 bits of each entry
 
 
 class GearHasher:
@@ -83,79 +93,98 @@ def _mask_for_average(avg_size: int) -> int:
 
 
 def _gear_hashes(data: bytes, bits: int = _GEAR_BITS) -> np.ndarray:
-    """Vectorized gear hash at every position of ``data``.
+    """Vectorized gear hash at every position of ``data``, low ``bits`` bits.
 
-    ``bits`` bounds how many low bits of the hash the caller will inspect:
-    because the gear recurrence only shifts bits *upward*, bit ``j`` of the
-    hash depends solely on the last ``j+1`` bytes, so a boundary predicate
-    masking the low ``k`` bits needs only ``k`` shifted-add terms. The
-    returned values agree with the sequential :class:`GearHasher` on those
-    low ``bits`` bits exactly.
+    Log-doubling: after the pass with shift ``w``, ``h[t]`` holds the sum of
+    the last ``2w`` terms ``gear[b_{t-i}] << i``, so the passes for
+    ``w = 1, 2, 4, ... < bits`` cover every term that reaches the low
+    ``bits`` bits (the terms for ``i >= bits`` are multiples of
+    ``2^bits``). With ``bits <= 32`` the sum runs in ``uint32``, which keeps
+    those bits exact mod 2^32. The values agree with the sequential
+    :class:`GearHasher` on the low ``bits`` bits.
     """
-    mapped = GEAR_TABLE[np.frombuffer(data, dtype=np.uint8)]
-    h = np.zeros(len(data), dtype=_U64)
-    for i in range(min(bits, _GEAR_BITS, len(data))):
-        # contribution of the byte i positions back, shifted left i bits
-        h[i:] += mapped[: len(data) - i] << _U64(i)
-    if bits < 64:
-        h &= _U64((1 << bits) - 1)
+    n = len(data)
+    if bits <= 32:
+        dtype, table = np.uint32, _GEAR_TABLE32
+    else:
+        dtype, table = _U64, GEAR_TABLE
+    h = table[np.frombuffer(data, dtype=np.uint8)]
+    shifted = np.empty_like(h)
+    w = 1
+    while w < min(bits, _GEAR_BITS, n):
+        # the same window w bytes back, shifted past the w newest terms
+        np.left_shift(h[: n - w], dtype(w), out=shifted[: n - w])
+        h[w:] += shifted[: n - w]
+        w *= 2
+    if bits < np.iinfo(dtype).bits:
+        h &= dtype((1 << bits) - 1)
     return h
+
+
+def _gear_candidates(data: bytes, bits: int) -> np.ndarray:
+    """Sorted positions whose low ``bits`` gear-hash bits are all zero."""
+    return np.flatnonzero(_gear_hashes(data, bits=bits) == 0)
 
 
 def gear_hashes_incremental(
     prev: bytes,
     new: bytes,
-    prev_hashes: np.ndarray,
+    prev_candidates: np.ndarray,
     bits: int,
 ) -> np.ndarray:
-    """Gear hashes of ``new``, reusing ``prev_hashes`` where content matches.
+    """Boundary candidates of ``new``, reusing ``prev_candidates``.
 
-    Exact: the gear hash at position ``t`` depends only on the preceding 64
-    bytes, so positions whose 64-byte context is untouched keep their old
-    hash. Only the windows around differing regions (and any tail beyond
-    the old length) are recomputed. This is a wall-clock optimization for
+    A candidate is a position whose low ``bits`` gear-hash bits are zero,
+    i.e. ``flatnonzero(_gear_hashes(new, bits) == 0)``; ``prev_candidates``
+    must be that array for ``prev``. Exact: the hash at ``t`` depends only
+    on bytes ``t-63 .. t``, so only the windows from each run of changed
+    bytes to 64 bytes past it (and any grown tail) are rehashed, with 63
+    bytes of warm-up context each; every old candidate outside them that
+    still lies inside ``new`` is kept. This is a wall-clock optimization for
     the simulator — the metered CPU cost is unchanged because the *modeled*
     system still scans the whole file.
     """
-    if prev_hashes.shape[0] != len(prev):
-        return _gear_hashes(new, bits=bits)
-    n_common = min(len(prev), len(new))
+    if prev == new:
+        return prev_candidates
+    n = len(new)
+    n_common = min(len(prev), n)
     if n_common == 0:
-        return _gear_hashes(new, bits=bits)
-    a = np.frombuffer(prev, dtype=np.uint8)[:n_common]
-    b = np.frombuffer(new, dtype=np.uint8)[:n_common]
+        return _gear_candidates(new, bits)
+    a = np.frombuffer(prev, dtype=np.uint8, count=n_common)
+    b = np.frombuffer(new, dtype=np.uint8, count=n_common)
     diff = np.flatnonzero(a != b)
-    if diff.size == 0 and len(prev) == len(new):
-        return prev_hashes
-    if diff.size > len(new) // 4:
-        return _gear_hashes(new, bits=bits)
-    hashes = np.zeros(len(new), dtype=_U64)
-    hashes[:n_common] = prev_hashes[:n_common]
+    if diff.size > n // 4:
+        return _gear_candidates(new, bits)
 
-    # merge difference positions into windows with 64 bytes of trailing reach
-    spans: List[tuple[int, int]] = []
+    # runs of changed bytes closer than 64 apart share one window [lo, hi)
     if diff.size:
-        start = int(diff[0])
-        end = start
-        for pos in diff[1:]:
-            pos = int(pos)
-            if pos <= end + _GEAR_BITS:
-                end = pos
-            else:
-                spans.append((start, end))
-                start = end = pos
-        spans.append((start, end))
-    if len(new) != len(prev):
-        # grown or truncated: everything from the old end onward changes
-        spans.append((max(0, n_common - 1), len(new) - 1))
-    for span_start, span_end in spans:
-        lo = max(0, span_start - (_GEAR_BITS - 1))
-        hi = min(len(new), span_end + _GEAR_BITS)
-        # recompute with 63 bytes of left context for warm-up, then discard it
-        ctx = max(0, lo - (_GEAR_BITS - 1))
-        local = _gear_hashes(new[ctx:hi], bits=bits)
-        hashes[lo:hi] = local[lo - ctx :]
-    return hashes
+        breaks = np.flatnonzero(np.diff(diff) > _GEAR_BITS)
+        lo = diff[np.r_[0, breaks + 1]]
+        hi = np.minimum(diff[np.r_[breaks, diff.size - 1]] + _GEAR_BITS, n)
+    else:
+        lo, hi = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    if n > n_common:
+        # grown: the tail is new, and joins a window that reaches it
+        if hi.size and hi[-1] >= n_common:
+            hi[-1] = n
+        else:
+            lo, hi = np.append(lo, n_common), np.append(hi, n)
+
+    kept = prev_candidates[prev_candidates < n]
+    if not lo.size:
+        return kept
+    inside = np.searchsorted(lo, kept, side="right") - 1
+    kept = kept[(inside < 0) | (kept >= hi[inside])]
+
+    # rehash every window in one buffer: each starts 63 bytes early (or at
+    # byte 0), so a hash kept from it never reaches into the one before it
+    ctx = np.maximum(lo - (_GEAR_BITS - 1), 0)
+    lengths = hi - ctx
+    shift = np.repeat(ctx - (np.cumsum(lengths) - lengths), lengths)
+    pos = np.arange(shift.size) + shift  # file position of each buffer byte
+    hashes = _gear_hashes(np.frombuffer(new, dtype=np.uint8)[pos], bits=bits)
+    found = pos[(hashes == 0) & (pos >= np.repeat(lo, lengths))]
+    return np.union1d(kept, found)
 
 
 def cdc_boundaries(
@@ -164,21 +193,27 @@ def cdc_boundaries(
     *,
     min_size: int | None = None,
     max_size: int | None = None,
-    hashes: np.ndarray | None = None,
+    candidates: np.ndarray | None = None,
 ) -> List[int]:
-    """Chunk end offsets (exclusive) for ``data``; the last is ``len(data)``."""
+    """Chunk end offsets (exclusive) for ``data``; the last is ``len(data)``.
+
+    ``candidates`` are the sorted positions whose gear hash matches the
+    mask for ``avg_size`` (``gear_hashes_incremental`` keeps them across
+    versions); they are computed here when not given.
+    """
     if avg_size <= 0:
         raise ValueError("avg_size must be positive")
+    if min_size is not None and min_size < 1:
+        raise ValueError("min_size must be at least 1")
+    if max_size is not None and max_size < 1:
+        raise ValueError("max_size must be at least 1")
     n = len(data)
     if n == 0:
         return []
     min_size = min_size if min_size is not None else max(1, avg_size // 4)
     max_size = max_size if max_size is not None else avg_size * 4
-    mask_value = _mask_for_average(avg_size)
-    mask = _U64(mask_value)
-    if hashes is None:
-        hashes = _gear_hashes(data, bits=mask_value.bit_length())
-    candidates = np.flatnonzero((hashes & mask) == 0)
+    if candidates is None:
+        candidates = _gear_candidates(data, _mask_for_average(avg_size).bit_length())
 
     boundaries: List[int] = []
     start = 0

@@ -42,13 +42,69 @@ class TestGearHash:
         vectorized = _gear_hashes(data)
         assert [int(v) for v in vectorized] == sequential
 
+    @pytest.mark.parametrize("bits", list(range(1, 33)) + [64])
+    def test_doubling_matches_sequential_around_each_step(self, bits):
+        # lengths 0, 1 and w-1, w, w+1 for every doubling shift w
+        data = DeterministicRandom(bits).random_bytes(130)
+        hasher = GearHasher()
+        mask = (1 << bits) - 1
+        sequential = [hasher.update(b) & mask for b in data]
+        lengths = {0, 1}
+        w = 1
+        while w <= 64:
+            lengths |= {w - 1, w, w + 1}
+            w *= 2
+        for n in sorted(lengths):
+            assert [int(v) for v in _gear_hashes(data[:n], bits=bits)] == (
+                sequential[:n]
+            ), (bits, n)
+
+
+def _candidates(data: bytes, bits: int) -> np.ndarray:
+    return np.flatnonzero(_gear_hashes(data, bits=bits) == 0)
+
+
+def _edit(data: bytearray, kind: str, at: int, size: int) -> None:
+    """Apply one edit of an edit script to ``data`` in place."""
+    n = len(data)
+    if kind == "flip" and n:
+        data[at % n] ^= 0xFF
+    elif kind == "pair" and n:
+        # two edits within 64 bytes of each other
+        p = at % n
+        data[p] ^= 0x0F
+        data[min(n - 1, p + size)] ^= 0xF0
+    elif kind == "first" and n:
+        data[0] ^= 0x5A
+    elif kind == "last" and n:
+        data[-1] ^= 0x5A
+    elif kind == "grow":
+        data.extend(DeterministicRandom(at).random_bytes(size))
+    elif kind == "truncate":
+        del data[at % (n + 1) :]
+    elif kind == "clear":
+        del data[:]
+    elif kind == "rewrite":
+        # more than a quarter of the bytes change: the full-rehash fallback
+        half = data[: n // 2 + 1]
+        data[: len(half)] = bytes(b ^ 0xFF for b in half)
+
+
+_EDITS = st.tuples(
+    st.sampled_from(
+        ["flip", "pair", "first", "last", "grow", "truncate", "clear", "rewrite"]
+    ),
+    st.integers(0, 1 << 20),
+    st.integers(1, 64),
+)
+
 
 class TestIncrementalGear:
+    # The incremental path returns boundary candidates (the positions whose
+    # masked gear hash is zero), not the per-byte hash array.
     def _check(self, prev: bytes, new: bytes, bits: int = 14):
-        ph = _gear_hashes(prev, bits=bits)
-        incremental = gear_hashes_incremental(prev, new, ph, bits)
-        full = _gear_hashes(new, bits=bits)
-        assert np.array_equal(incremental, full)
+        incremental = gear_hashes_incremental(prev, new, _candidates(prev, bits), bits)
+        assert np.array_equal(incremental, _candidates(new, bits))
 
     def test_identical(self):
         data = DeterministicRandom(3).random_bytes(10_000)
@@ -97,6 +153,33 @@ class TestIncrementalGear:
         new = rng.random_bytes(4000)
         self._check(prev, new)
 
+    def test_truncate_to_empty(self):
+        self._check(DeterministicRandom(18).random_bytes(3000), b"")
+
+    def test_equal_content_returns_previous_candidates(self):
+        data = DeterministicRandom(19).random_bytes(5000)
+        prev = _candidates(data, 8)
+        assert gear_hashes_incremental(data, bytes(data), prev, 8) is prev
+
+    @given(
+        size=st.integers(0, 3000),
+        seed=st.integers(0, 1 << 16),
+        bits=st.integers(1, 10),
+        script=st.lists(_EDITS, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_edit_script(self, size, seed, bits, script):
+        # each edit is one saved version; candidates carry across versions
+        prev = DeterministicRandom(seed).random_bytes(size)
+        candidates = _candidates(prev, bits)
+        for kind, at, width in script:
+            new = bytearray(prev)
+            _edit(new, kind, at, width)
+            new = bytes(new)
+            candidates = gear_hashes_incremental(prev, new, candidates, bits)
+            assert np.array_equal(candidates, _candidates(new, bits)), kind
+            prev = new
+
 
 class TestBoundaries:
     def test_cover_exactly(self):
@@ -126,6 +209,23 @@ class TestBoundaries:
     def test_invalid_avg(self):
         with pytest.raises(ValueError):
             cdc_boundaries(b"abc", 0)
+
+    @pytest.mark.parametrize("arg", ["min_size", "max_size"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_nonpositive_min_max_rejected(self, arg, value):
+        # a cut at the chunk start never advanced, so these never returned
+        data = DeterministicRandom(20).random_bytes(100_000)
+        with pytest.raises(ValueError):
+            cdc_boundaries(data, 256, **{arg: value})
+        with pytest.raises(ValueError):
+            cdc_chunks(data, 256, **{arg: value})
+
+    def test_given_candidates_match_computed(self):
+        data = DeterministicRandom(21).random_bytes(50_000)
+        bits = (2048).bit_length() - 1
+        assert cdc_boundaries(data, 2048, candidates=_candidates(data, bits)) == (
+            cdc_boundaries(data, 2048)
+        )
 
     def test_boundary_shift_is_local(self):
         # the CDC property: an edit only re-chunks its neighbourhood
